@@ -1,7 +1,7 @@
 .PHONY: all check test smoke bench-smoke release bench-json bench-json3 \
         bench-json5 bench-json6 bench-json7 bench-json8 bench-json9 \
         bench-json10 par-test serve-smoke load-smoke incr-smoke cost-smoke \
-        mtbdd-smoke lint clean
+        mtbdd-smoke lint perfbench clean
 
 all:
 	dune build
@@ -144,6 +144,11 @@ mtbdd-smoke:
 # BENCH_pr10.json.
 bench-json10:
 	dune exec --profile release bench/main.exe -- json10
+
+# The repository benchmark (BENCHMARK.json): every workload, untraced
+# and traced, each pinned to one CPU; exits 1 on any wrong answer.
+perfbench:
+	python3 perfbench/run.py --all
 
 clean:
 	dune clean

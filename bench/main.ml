@@ -1036,6 +1036,47 @@ let bench_json3 ?(path = "BENCH_pr3.json") () =
   print_string (Buffer.contents buf);
   Printf.printf "wrote %s\n" path
 
+module Serve = Jedd_serve.Serve
+module SJson = Jedd_server.Json
+
+(* Start a serve front end on all three transports, run [f], always
+   stop the server.  Each call loads its own universe from the
+   snapshot file, so freeze (which is one-way) never leaks between
+   runs. *)
+let with_server ~workers ~frozen snap_path hash f =
+  let snap = Jedd_store.Snapshot.load_file ~freeze:frozen snap_path in
+  let sock = Filename.temp_file "jedd-serve" ".sock" in
+  Sys.remove sock;
+  let config =
+    {
+      Serve.default_config with
+      unix_path = Some sock;
+      tcp = Some ("127.0.0.1", 0);
+      http = Some ("127.0.0.1", 0);
+      workers;
+    }
+  in
+  let server = Serve.create ~config ~universe_hash:hash snap in
+  let th = Thread.create Serve.run server in
+  let tcp_port =
+    match Serve.tcp_port server with Some p -> p | None -> 0
+  in
+  let http_port =
+    match Serve.http_port server with Some p -> p | None -> 0
+  in
+  let finally () =
+    Serve.stop server;
+    Thread.join th;
+    if Sys.file_exists sock then Sys.remove sock
+  in
+  match f ~sock ~tcp_port ~http_port with
+  | v ->
+    finally ();
+    v
+  | exception e ->
+    finally ();
+    raise e
+
 (* ----------------------------------------------------------------- *)
 (* BENCH_pr5.json: the jeddd warm-start story.  Cold = run the full   *)
 (* combined pipeline and answer one points-to query; warm = load the  *)
@@ -1096,22 +1137,18 @@ let bench_json5 ?(path = "BENCH_pr5.json") () =
         (query_rel snap query_var, List.length snap.Snapshot.relations))
   in
   (* server: round-trip latency for the same query over the socket *)
-  let module Server = Jedd_server.Server in
   let module Client = Jedd_server.Client in
-  let socket_path = Filename.temp_file "jedd-bench" ".sock" in
-  Sys.remove socket_path;
-  let server = Server.create ~socket_path snap_cold in
-  let server_thread = Thread.create Server.serve server in
-  let c = Client.connect socket_path in
   let n_queries = 200 in
   let lat = Array.make n_queries 0.0 in
-  for i = 0 to n_queries - 1 do
-    let (_ : int list), dt = wall (fun () -> Client.pointsto c query_var) in
-    lat.(i) <- dt
-  done;
-  Client.shutdown c;
-  Client.close c;
-  Thread.join server_thread;
+  with_server ~workers:1 ~frozen:false snap_path
+    (Digest.to_hex (Digest.file snap_path))
+    (fun ~sock ~tcp_port:_ ~http_port:_ ->
+      let c = Client.connect ~retries:10 sock in
+      for i = 0 to n_queries - 1 do
+        let (_ : int list), dt = wall (fun () -> Client.pointsto c query_var) in
+        lat.(i) <- dt
+      done;
+      Client.close c);
   Array.sort compare lat;
   let mean = Array.fold_left ( +. ) 0.0 lat /. float_of_int n_queries in
   let p95 = lat.(n_queries * 95 / 100) in
@@ -1362,9 +1399,6 @@ let bench_json6 ?(path = "BENCH_pr6.json") () =
 (* Unix, TCP and HTTP, at every worker count, against workers=1).     *)
 (* ----------------------------------------------------------------- *)
 
-module Serve = Jedd_serve.Serve
-module SJson = Jedd_server.Json
-
 let serve_fixture () =
   let bench_name =
     match Sys.getenv_opt "JEDD_BENCH_WORKLOAD" with
@@ -1390,44 +1424,6 @@ let serve_fixture () =
   in
   let vars = if vars = [] then [ 0 ] else vars in
   (bench_name, snap_path, hash, Array.of_list vars)
-
-(* Start a serve front end on all three transports, run [f], always
-   stop the server.  Each call loads its own universe from the
-   snapshot file, so freeze (which is one-way) never leaks between
-   runs. *)
-let with_server ~workers ~frozen snap_path hash f =
-  let snap = Jedd_store.Snapshot.load_file ~freeze:frozen snap_path in
-  let sock = Filename.temp_file "jedd-serve" ".sock" in
-  Sys.remove sock;
-  let config =
-    {
-      Serve.default_config with
-      unix_path = Some sock;
-      tcp = Some ("127.0.0.1", 0);
-      http = Some ("127.0.0.1", 0);
-      workers;
-    }
-  in
-  let server = Serve.create ~config ~universe_hash:hash snap in
-  let th = Thread.create Serve.run server in
-  let tcp_port =
-    match Serve.tcp_port server with Some p -> p | None -> 0
-  in
-  let http_port =
-    match Serve.http_port server with Some p -> p | None -> 0
-  in
-  let finally () =
-    Serve.stop server;
-    Thread.join th;
-    if Sys.file_exists sock then Sys.remove sock
-  in
-  match f ~sock ~tcp_port ~http_port with
-  | v ->
-    finally ();
-    v
-  | exception e ->
-    finally ();
-    raise e
 
 (* Deterministic read-only queries for the differential gate; stats is
    deliberately excluded (uptime and counters vary). *)

@@ -240,7 +240,16 @@ let run socket no_socket tcp http workers no_freeze sweep_threshold
   if live then
     Printf.printf
       "jeddd: live updates enabled (send {\"verb\":\"update\", \
-       \"edit\":{\"op\":...}})\n%!";
+       \"edit\":{\"op\":...}})\n%!"
+  else
+    (* A read-only daemon's heap is its snapshot plus the garbage of
+       answered requests, mostly result-cache churn.  At the default
+       pacing (space_overhead 120) that garbage grows the heap by a
+       fifth over 50k queries; collecting eagerly keeps it flat and
+       costs little CPU, since serving allocates little.  A --live
+       daemon keeps the default: eager collection doubles the time of
+       its allocation-heavy re-solves. *)
+    Gc.set { (Gc.get ()) with Gc.space_overhead = 20 };
   Jedd_serve.Serve.run server;
   Printf.printf "jeddd: stopped\n%!"
 

@@ -28,16 +28,16 @@ type parse_result =
 
 let header req name = List.assoc_opt name req.headers
 
-(* Find "\r\n\r\n" in [s.[0..len)]; -1 if absent. *)
-let find_header_end s len =
+(* Find "\r\n\r\n" in [s.[pos..stop)]; -1 if absent. *)
+let find_header_end s pos stop =
   let rec go i =
-    if i + 3 >= len then -1
+    if i + 3 >= stop then -1
     else if
       s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n'
     then i
     else go (i + 1)
   in
-  go 0
+  go pos
 
 let parse_headers lines =
   List.map
@@ -49,19 +49,21 @@ let parse_headers lines =
           String.trim (String.sub line (i + 1) (String.length line - i - 1)) ))
     lines
 
-(* Parse one request from the front of [data] (a connection's read
-   buffer).  Pipelined requests are handled by the caller looping until
-   [Incomplete]. *)
-let parse_request data =
-  let len = String.length data in
-  match find_header_end data len with
+(* Parse one request from [data.[pos .. pos+len)] (the live part of a
+   connection's read buffer; all of [data] by default).  Pipelined
+   requests are handled by the caller looping until [Incomplete]. *)
+let parse_request ?(pos = 0) ?len data =
+  let len = match len with Some n -> n | None -> String.length data - pos in
+  let stop = pos + len in
+  match find_header_end data pos stop with
   | -1 ->
     if len > max_header_bytes then Invalid "headers exceed 8192 bytes"
     else Incomplete
   | hdr_end -> (
-    if hdr_end > max_header_bytes then Invalid "headers exceed 8192 bytes"
+    if hdr_end - pos > max_header_bytes then
+      Invalid "headers exceed 8192 bytes"
     else
-      let head = String.sub data 0 hdr_end in
+      let head = String.sub data pos (hdr_end - pos) in
       match String.split_on_char '\n' head with
       | [] -> Invalid "empty request"
       | req_line :: header_lines -> (
@@ -92,7 +94,7 @@ let parse_request data =
               Invalid "body too large"
             else begin
               let body_start = hdr_end + 4 in
-              if len - body_start < content_length then Incomplete
+              if stop - body_start < content_length then Incomplete
               else begin
                 let body = String.sub data body_start content_length in
                 let keep_alive =
@@ -106,7 +108,7 @@ let parse_request data =
                 in
                 Complete
                   ( { meth; path; headers; body; keep_alive },
-                    body_start + content_length )
+                    body_start + content_length - pos )
               end
             end)
         | _ -> Invalid "malformed request line"))
@@ -121,6 +123,7 @@ let status_text = function
   | 413 -> "Payload Too Large"
   | 431 -> "Request Header Fields Too Large"
   | 500 -> "Internal Server Error"
+  | 503 -> "Service Unavailable"
   | _ -> "Unknown"
 
 let response ?(status = 200) ?(keep_alive = true) body =

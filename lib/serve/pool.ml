@@ -11,8 +11,9 @@
    sweeps while holding the pool lock, so no other domain can be
    touching the node store.
 
-   With [workers = 1] any universe works (frozen or not) and the pool
-   degenerates to the classic single-worker queue. *)
+   With [workers = 1] any universe works (frozen or not): one domain
+   drains the queue, which is how `jedd-analyze --serve` serves its
+   live, refcounted analysis universe. *)
 
 module M = Jedd_bdd.Manager
 module U = Jedd_relation.Universe

@@ -17,9 +17,17 @@
    answered with a timeout error and its job is flagged cancelled, so
    a worker that picks it up (or finishes it late) drops the result.
 
-   select() caps the loop at FD_SETSIZE descriptors (~1024); the load
-   generator defaults stay under that, and heavier fan-in belongs
-   behind multiple processes. *)
+   Input and output live in offset buffers (Iobuf), so a pipelined
+   burst costs time linear in its bytes.  A connection with
+   [max_pending] unanswered requests is not read until some are
+   answered: the peer's socket buffer fills and throttles it, instead
+   of its burst queueing ahead of every other client.
+
+   select() cannot watch descriptors at or above FD_SETSIZE (1024 on
+   Linux); a connection accepted on one is answered with an overload
+   error and closed.  When the process runs out of descriptors the
+   listeners are parked until a connection closes, so the loop does not
+   spin on a listener it cannot accept from. *)
 
 (* Live updates: when created with a [live_config], the front end also
    accepts the "update" verb.  Edits are applied to the mutable shadow
@@ -70,21 +78,86 @@ let default_config =
 type slot = {
   mutable out : string option; (* rendered bytes, ready to flush *)
   deadline : float;
+  seq : int; (* orders slots with equal deadlines in [Due] *)
   cancelled : bool Atomic.t;
   render : Json.t -> string;
   close_conn : bool; (* close after flushing this response *)
 }
 
+(* The unanswered slots by deadline, so each loop pass looks only at
+   the slots that are due rather than at every pending one. *)
+module Due = Set.Make (struct
+  type t = slot
+
+  let compare a b =
+    match Float.compare a.deadline b.deadline with
+    | 0 -> Int.compare a.seq b.seq
+    | c -> c
+end)
+
+(* A byte buffer consumed from the front: [buf.[pos .. len)] is live.
+   Appending slides or grows it only when the dead prefix is at least
+   half of it, so every byte is copied O(1) times amortised. *)
+module Iobuf = struct
+  type t = { mutable buf : Bytes.t; mutable pos : int; mutable len : int }
+
+  let create () = { buf = Bytes.create 4096; pos = 0; len = 0 }
+  let length b = b.len - b.pos
+
+  (* Room for [n] more bytes after [len]. *)
+  let reserve b n =
+    let cap = Bytes.length b.buf in
+    if b.len + n > cap then begin
+      let live = length b in
+      let dst =
+        if live + n <= cap / 2 then b.buf
+        else Bytes.create (max (2 * cap) (live + n))
+      in
+      Bytes.blit b.buf b.pos dst 0 live;
+      b.buf <- dst;
+      b.pos <- 0;
+      b.len <- live
+    end
+
+  let add_sub b src off n =
+    reserve b n;
+    Bytes.blit src off b.buf b.len n;
+    b.len <- b.len + n
+
+  let add_string b s =
+    add_sub b (Bytes.unsafe_of_string s) 0 (String.length s)
+
+  let consume b n =
+    b.pos <- b.pos + n;
+    if b.pos = b.len then begin
+      b.pos <- 0;
+      b.len <- 0
+    end
+
+  let clear b = consume b (length b)
+
+  (* First [c] at or after absolute offset [from], within the live bytes. *)
+  let index_from b from c =
+    let rec go i =
+      if i >= b.len then None
+      else if Bytes.unsafe_get b.buf i = c then Some i
+      else go (i + 1)
+    in
+    go from
+end
+
 type kind = Line | Http_conn
 
 type conn = {
   fd : Unix.file_descr;
-  id : int;
   kind : kind;
-  mutable rdata : string; (* unconsumed input *)
-  mutable wdata : string; (* rendered output not yet written *)
+  input : Iobuf.t; (* bytes read, not yet framed *)
+  mutable scanned : int; (* input bytes known to hold no newline *)
+  output : Iobuf.t; (* rendered responses not yet written *)
   slots : slot Queue.t; (* responses in request order *)
-  mutable closing : bool; (* no more reads; flush and close *)
+  mutable eof : bool; (* the peer sent its last byte, or reading failed *)
+  mutable closing : bool; (* no more framing; close once output drains *)
+  mutable blocked : bool; (* the last write found the socket full *)
 }
 
 type stats = {
@@ -131,16 +204,29 @@ type t = {
   http_fd : Unix.file_descr option;
   wake_rd : Unix.file_descr;
   wake_wr : Unix.file_descr;
-  completions : (int * slot * Json.t * bool) Queue.t; (* conn id, quit? *)
-  cm : Mutex.t;
-  conns : (int, conn) Hashtbl.t;
-  mutable next_conn : int;
+  completions : (slot * Json.t * bool) Queue.t; (* quit? *)
+  cm : Mutex.t; (* guards [completions], [woken] and [pipe_closed] *)
+  mutable woken : bool; (* a wakeup byte is in the pipe *)
+  mutable pipe_closed : bool;
+  conns : (Unix.file_descr, conn) Hashtbl.t;
+  mutable due : Due.t;
+  mutable next_seq : int;
+  mutable accept_resume : float; (* listeners parked until then *)
+  rbuf : Bytes.t; (* read scratch *)
   mutable stopping : bool;
   stats : stats;
   started : float;
 }
 
 let max_line_buffer = 16 * 1024 * 1024
+
+(* Unanswered requests a connection may have before it is not read. *)
+let max_pending = 256
+let read_chunk = 65536
+
+(* How long listeners stay parked after running out of descriptors if
+   no connection closes first (descriptors may free up elsewhere). *)
+let accept_backoff_s = 0.25
 
 (* -- listeners ----------------------------------------------------------- *)
 
@@ -203,7 +289,7 @@ let create ?(config = default_config) ?live ~universe_hash snap =
       Some (Rescache.create ~capacity:config.cache_capacity)
     else None
   in
-  let qeval = Qeval.create ?cache ~cache_capacity:0 ~universe_hash world in
+  let qeval = Qeval.create ?cache ~universe_hash world in
   let pool =
     Pool.create ~workers:config.workers
       ~sweep_threshold:config.sweep_threshold qeval
@@ -250,8 +336,13 @@ let create ?(config = default_config) ?live ~universe_hash snap =
       wake_wr;
       completions = Queue.create ();
       cm = Mutex.create ();
+      woken = false;
+      pipe_closed = false;
       conns = Hashtbl.create 64;
-      next_conn = 0;
+      due = Due.empty;
+      next_seq = 0;
+      accept_resume = 0.;
+      rbuf = Bytes.create read_chunk;
       stopping = false;
       stats = { connections = 0; timeouts = 0; parse_errors = 0 };
       started = Unix.gettimeofday ();
@@ -264,7 +355,18 @@ let create ?(config = default_config) ?live ~universe_hash snap =
 let tcp_port t = Option.map bound_port t.tcp_fd
 let http_port t = Option.map bound_port t.http_fd
 
-let wake t = try ignore (Unix.write t.wake_wr (Bytes.of_string "x") 0 1) with _ -> ()
+(* Poke the loop through the self-pipe: one byte per drain of the
+   completion queue is enough.  Once [run] has closed the pipe a late
+   [stop] or straggling worker writes nothing, so it can never hit a
+   descriptor number that has since been reused. *)
+let wake_locked t =
+  if not (t.woken || t.pipe_closed) then begin
+    t.woken <- true;
+    try ignore (Unix.write_substring t.wake_wr "x" 0 1)
+    with Unix.Unix_error _ -> ()
+  end
+
+let wake t = Mutex.protect t.cm (fun () -> wake_locked t)
 
 (* -- live updates -------------------------------------------------------- *)
 
@@ -398,7 +500,7 @@ let perform_update t ls request : Protocol.outcome =
       { Protocol.snap; extra_stats = (fun () -> server_stats t ()) }
     in
     let qeval =
-      Qeval.create ?cache:t.cache ~cache_capacity:0 ~universe_hash:hash world
+      Qeval.create ?cache:t.cache ~universe_hash:hash world
     in
     let gpool =
       Pool.create ~workers:t.config.workers
@@ -501,17 +603,22 @@ let timeout_of t request =
   | Some (Json.Int ms) when ms > 0 -> float_of_int ms /. 1000.
   | _ -> float_of_int t.config.default_timeout_ms /. 1000.
 
-let push_slot conn slot = Queue.push slot conn.slots
-
-let immediate conn render v =
-  push_slot conn
+(* A slot whose response is known without evaluation. *)
+let answered ?(close_conn = false) conn render out =
+  Queue.push
     {
-      out = Some (render v);
+      out = Some out;
       deadline = infinity;
+      seq = 0;
       cancelled = Atomic.make true;
       render;
-      close_conn = false;
+      close_conn;
     }
+    conn.slots
+
+let fill t slot out =
+  slot.out <- Some out;
+  t.due <- Due.remove slot t.due
 
 (* A generation swap stops the old pool after the pointer flips; a
    submit that raced the flip sees [false] and retries against the
@@ -525,27 +632,28 @@ let rec pool_submit t ~retries ~request ~cancelled ~deliver =
 (* Submit one protocol request read from [conn]; the response lands in
    an ordered slot. *)
 let submit t conn render ~close_conn request =
+  t.next_seq <- t.next_seq + 1;
   let slot =
     {
       out = None;
       deadline = Unix.gettimeofday () +. timeout_of t request;
+      seq = t.next_seq;
       cancelled = Atomic.make false;
       render;
       close_conn;
     }
   in
-  push_slot conn slot;
-  let id = conn.id in
+  Queue.push slot conn.slots;
+  t.due <- Due.add slot t.due;
   let deliver outcome =
     let resp, quit =
       match outcome with
       | Protocol.Reply r -> (r, false)
       | Protocol.Quit r -> (r, true)
     in
-    Mutex.lock t.cm;
-    Queue.push (id, slot, resp, quit) t.completions;
-    Mutex.unlock t.cm;
-    wake t
+    Mutex.protect t.cm (fun () ->
+        Queue.push (slot, resp, quit) t.completions;
+        wake_locked t)
   in
   let is_update =
     match Json.member "verb" request with
@@ -555,12 +663,11 @@ let submit t conn render ~close_conn request =
   if is_update then
     match t.live with
     | None ->
-      slot.out <-
-        Some
-          (render
-             (Protocol.err (Protocol.request_id request)
-                "server is not running a live session (start jeddd with \
-                 --live)"))
+      fill t slot
+        (render
+           (Protocol.err (Protocol.request_id request)
+              "server is not running a live session (start jeddd with \
+               --live)"))
     | Some ls ->
       Mutex.lock ls.um;
       Queue.push (request, deliver) ls.updates;
@@ -569,226 +676,236 @@ let submit t conn render ~close_conn request =
   else if
     not (pool_submit t ~retries:4 ~request ~cancelled:slot.cancelled ~deliver)
   then
-    slot.out <-
-      Some
-        (render
-           (Protocol.err (Protocol.request_id request) "server is shutting down"))
+    fill t slot
+      (render
+         (Protocol.err (Protocol.request_id request) "server is shutting down"))
+
+let line_render v = Json.to_string v ^ "\n"
 
 let handle_json_line t conn line =
   match Json.of_string line with
   | exception Json.Parse_error msg ->
     t.stats.parse_errors <- t.stats.parse_errors + 1;
-    immediate conn
-      (fun v -> Json.to_string v ^ "\n")
-      (Protocol.err Json.Null (Printf.sprintf "parse error: %s" msg))
-  | Json.Obj _ as request ->
-    submit t conn (fun v -> Json.to_string v ^ "\n") ~close_conn:false request
+    answered conn line_render
+      (line_render
+         (Protocol.err Json.Null (Printf.sprintf "parse error: %s" msg)))
+  | Json.Obj _ as request -> submit t conn line_render ~close_conn:false request
   | _ ->
     t.stats.parse_errors <- t.stats.parse_errors + 1;
-    immediate conn
-      (fun v -> Json.to_string v ^ "\n")
-      (Protocol.err Json.Null "request must be a JSON object")
+    answered conn line_render
+      (line_render (Protocol.err Json.Null "request must be a JSON object"))
 
-let rec drain_lines t conn =
-  match String.index_opt conn.rdata '\n' with
-  | None ->
-    if String.length conn.rdata > max_line_buffer then conn.closing <- true
-  | Some i ->
-    let line = String.sub conn.rdata 0 i in
-    conn.rdata <-
-      String.sub conn.rdata (i + 1) (String.length conn.rdata - i - 1);
-    let line = String.trim line in
-    if line <> "" then handle_json_line t conn line;
-    drain_lines t conn
+let has_room conn =
+  (not conn.closing) && Queue.length conn.slots < max_pending
+
+(* Frame newline-terminated requests off the input while the
+   connection has room for more unanswered ones. *)
+let rec frame_lines t conn =
+  let b = conn.input in
+  if has_room conn then
+    match Iobuf.index_from b (b.Iobuf.pos + conn.scanned) '\n' with
+    | None ->
+      conn.scanned <- Iobuf.length b;
+      if conn.scanned > max_line_buffer then conn.closing <- true
+    | Some i ->
+      let n = i - b.Iobuf.pos in
+      let line = String.trim (Bytes.sub_string b.Iobuf.buf b.Iobuf.pos n) in
+      Iobuf.consume b (n + 1);
+      conn.scanned <- 0;
+      if line <> "" then handle_json_line t conn line;
+      frame_lines t conn
 
 let http_render keep_alive v = Http.response ~keep_alive (Json.to_string v)
 
 let handle_http_request t conn (req : Http.request) =
   let close_conn = not req.keep_alive in
   let render = http_render req.keep_alive in
+  let reject status msg =
+    answered ~close_conn conn render
+      (Http.error_response ~keep_alive:req.keep_alive status msg)
+  in
   match (req.meth, req.path) with
   | "POST", _ -> (
     match Json.of_string req.body with
     | exception Json.Parse_error msg ->
       t.stats.parse_errors <- t.stats.parse_errors + 1;
-      push_slot conn
-        {
-          out = Some (Http.error_response ~keep_alive:req.keep_alive 400
-                        (Printf.sprintf "parse error: %s" msg));
-          deadline = infinity;
-          cancelled = Atomic.make true;
-          render;
-          close_conn;
-        }
+      reject 400 (Printf.sprintf "parse error: %s" msg)
     | Json.Obj _ as request -> submit t conn render ~close_conn request
     | _ ->
       t.stats.parse_errors <- t.stats.parse_errors + 1;
-      push_slot conn
-        {
-          out = Some (Http.error_response ~keep_alive:req.keep_alive 400
-                        "request must be a JSON object");
-          deadline = infinity;
-          cancelled = Atomic.make true;
-          render;
-          close_conn;
-        })
+      reject 400 "request must be a JSON object")
   | "GET", "/ping" ->
     submit t conn render ~close_conn
       (Json.Obj [ ("verb", Json.String "ping") ])
   | "GET", "/stats" ->
     submit t conn render ~close_conn
       (Json.Obj [ ("verb", Json.String "stats") ])
-  | "GET", _ ->
-    push_slot conn
-      {
-        out = Some (Http.error_response ~keep_alive:req.keep_alive 404
-                      (Printf.sprintf "no such path %s" req.path));
-        deadline = infinity;
-        cancelled = Atomic.make true;
-        render;
-        close_conn;
-      }
-  | _ ->
-    push_slot conn
-      {
-        out = Some (Http.error_response ~keep_alive:req.keep_alive 405
-                      (Printf.sprintf "method %s not allowed" req.meth));
-        deadline = infinity;
-        cancelled = Atomic.make true;
-        render;
-        close_conn;
-      }
+  | "GET", _ -> reject 404 (Printf.sprintf "no such path %s" req.path)
+  | _ -> reject 405 (Printf.sprintf "method %s not allowed" req.meth)
 
-let rec drain_http t conn =
-  if not conn.closing then
-    match Http.parse_request conn.rdata with
+let rec frame_http t conn =
+  let b = conn.input in
+  if has_room conn && Iobuf.length b > 0 then
+    (* the parser only reads the live bytes and copies what it keeps *)
+    match
+      Http.parse_request ~pos:b.Iobuf.pos ~len:(Iobuf.length b)
+        (Bytes.unsafe_to_string b.Iobuf.buf)
+    with
     | Http.Incomplete -> ()
     | Http.Invalid msg ->
       t.stats.parse_errors <- t.stats.parse_errors + 1;
-      conn.rdata <- "";
+      Iobuf.clear b;
       (* reject and hang up: a framing error leaves the stream unusable *)
-      push_slot conn
-        {
-          out =
-            Some
-              (Http.error_response
-                 (if msg = "headers exceed 8192 bytes" then 431
-                  else if msg = "body too large" then 413
-                  else 400)
-                 msg);
-          deadline = infinity;
-          cancelled = Atomic.make true;
-          render = http_render false;
-          close_conn = true;
-        };
+      answered ~close_conn:true conn (http_render false)
+        (Http.error_response
+           (if msg = "headers exceed 8192 bytes" then 431
+            else if msg = "body too large" then 413
+            else 400)
+           msg);
       conn.closing <- true
     | Http.Complete (req, consumed) ->
-      conn.rdata <-
-        String.sub conn.rdata consumed (String.length conn.rdata - consumed);
+      Iobuf.consume b consumed;
       handle_http_request t conn req;
-      drain_http t conn
+      frame_http t conn
 
 (* -- connection lifecycle ------------------------------------------------ *)
 
-let close_conn t conn =
-  (* cancel outstanding jobs so late results are dropped *)
-  Queue.iter (fun s -> Atomic.set s.cancelled true) conn.slots;
-  Hashtbl.remove t.conns conn.id;
-  try Unix.close conn.fd with _ -> ()
+(* Forget the connection's outstanding requests; their jobs are flagged
+   so late results are dropped. *)
+let drop_slots t conn =
+  Queue.iter
+    (fun s ->
+      Atomic.set s.cancelled true;
+      if s.out = None then t.due <- Due.remove s t.due)
+    conn.slots;
+  Queue.clear conn.slots
 
-let accept_new t (lfd, kind) =
+let hang_up t conn =
+  drop_slots t conn;
+  Iobuf.clear conn.output;
+  conn.closing <- true
+
+let close_conn t conn =
+  drop_slots t conn;
+  Hashtbl.remove t.conns conn.fd;
+  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
+  (* a descriptor is free again: unpark the listeners *)
+  t.accept_resume <- 0.
+
+(* select() fails with EINVAL on a descriptor it cannot hold in an
+   fd_set; probing the new descriptor alone finds that out before it
+   can take the whole loop down. *)
+let selectable fd =
+  match Unix.select [ fd ] [] [] 0. with
+  | _ -> true
+  | exception Unix.Unix_error (e, _, _) -> e <> Unix.EINVAL
+
+let refuse kind fd =
+  let msg = "server overloaded: too many connections" in
+  let reply =
+    match kind with
+    | Line -> line_render (Protocol.err Json.Null msg)
+    | Http_conn -> Http.error_response 503 msg
+  in
+  (try
+     Unix.set_nonblock fd;
+     ignore (Unix.write_substring fd reply 0 (String.length reply))
+   with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
+let accept_new t lfd kind =
   let rec go () =
     match Unix.accept lfd with
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception _ -> ()
+    | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
+      (* the listener stays readable while the backlog waits, so
+         watching it now would spin *)
+      t.accept_resume <- Unix.gettimeofday () +. accept_backoff_s
+    | exception Unix.Unix_error _ -> ()
+    | fd, _ when not (selectable fd) ->
+      refuse kind fd;
+      go ()
     | fd, _ ->
       Unix.set_nonblock fd;
-      (match kind with
-      | Line | Http_conn -> (
-        try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ()));
-      t.next_conn <- t.next_conn + 1;
+      (try Unix.setsockopt fd Unix.TCP_NODELAY true
+       with Unix.Unix_error _ -> ());
       t.stats.connections <- t.stats.connections + 1;
-      let conn =
+      Hashtbl.replace t.conns fd
         {
           fd;
-          id = t.next_conn;
           kind;
-          rdata = "";
-          wdata = "";
+          input = Iobuf.create ();
+          scanned = 0;
+          output = Iobuf.create ();
           slots = Queue.create ();
+          eof = false;
           closing = false;
-        }
-      in
-      Hashtbl.replace t.conns conn.id conn;
+          blocked = false;
+        };
       go ()
   in
   go ()
 
 let read_conn t conn =
-  let buf = Bytes.create 65536 in
-  let rec go () =
-    match Unix.read conn.fd buf 0 (Bytes.length buf) with
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception _ -> conn.closing <- true
-    | 0 -> conn.closing <- true
-    | n ->
-      conn.rdata <- conn.rdata ^ Bytes.sub_string buf 0 n;
-      if n = Bytes.length buf then go ()
-  in
-  go ();
+  match Unix.read conn.fd t.rbuf 0 (Bytes.length t.rbuf) with
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+  | exception Unix.Unix_error _ -> hang_up t conn
+  | 0 -> conn.eof <- true
+  | n -> Iobuf.add_sub conn.input t.rbuf 0 n
+
+(* Move the longest answered prefix of the slot queue to the output;
+   nothing after a response that closes the connection is sent. *)
+let rec promote_slots t conn =
+  match Queue.peek_opt conn.slots with
+  | Some { out = Some bytes; close_conn; _ } ->
+    ignore (Queue.pop conn.slots);
+    Iobuf.add_string conn.output bytes;
+    if close_conn then begin
+      drop_slots t conn;
+      conn.closing <- true
+    end
+    else promote_slots t conn
+  | _ -> ()
+
+(* Promote answers and frame buffered requests until neither moves:
+   framing may answer at once (a parse error), which frees room. *)
+let rec pump t conn =
+  promote_slots t conn;
+  let before = Iobuf.length conn.input in
   (match conn.kind with
-  | Line -> drain_lines t conn
-  | Http_conn -> drain_http t conn)
+  | Line -> frame_lines t conn
+  | Http_conn -> frame_http t conn);
+  if Iobuf.length conn.input < before then pump t conn
 
-(* Move the longest filled prefix of the slot queue into the write
-   buffer; returns [true] if this connection should close once the
-   buffer drains. *)
-let promote_slots conn =
-  let close = ref false in
-  let rec go () =
-    if (not !close) && not (Queue.is_empty conn.slots) then
-      match (Queue.peek conn.slots).out with
-      | None -> ()
-      | Some bytes ->
-        let s = Queue.pop conn.slots in
-        conn.wdata <- conn.wdata ^ bytes;
-        if s.close_conn then close := true else go ()
-  in
-  go ();
-  !close
+let flush_conn t conn =
+  let b = conn.output in
+  match Unix.write conn.fd b.Iobuf.buf b.Iobuf.pos (Iobuf.length b) with
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
+    conn.blocked <- true
+  | exception Unix.Unix_error _ -> hang_up t conn
+  | n ->
+    Iobuf.consume b n;
+    conn.blocked <- Iobuf.length b > 0
 
-let flush_conn conn =
-  if conn.wdata <> "" then begin
-    let b = Bytes.of_string conn.wdata in
-    match Unix.write conn.fd b 0 (Bytes.length b) with
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception _ -> conn.closing <- true
-    | n -> conn.wdata <- String.sub conn.wdata n (String.length conn.wdata - n)
-  end
-
-let expire_slots t conn now =
-  Queue.iter
-    (fun s ->
-      if s.out = None && now > s.deadline then begin
-        Atomic.set s.cancelled true;
-        t.stats.timeouts <- t.stats.timeouts + 1;
-        s.out <- Some (s.render (Protocol.err Json.Null "timeout"))
-      end)
-    conn.slots
+(* Answer every overdue slot with a timeout error and flag its job. *)
+let rec expire_due t now =
+  match Due.min_elt_opt t.due with
+  | Some s when now > s.deadline ->
+    Atomic.set s.cancelled true;
+    t.stats.timeouts <- t.stats.timeouts + 1;
+    fill t s (s.render (Protocol.err Json.Null "timeout"));
+    expire_due t now
+  | _ -> ()
 
 (* -- the loop ------------------------------------------------------------ *)
 
 let drain_completions t =
-  Mutex.lock t.cm;
-  let pending = Queue.copy t.completions in
-  Queue.clear t.completions;
-  Mutex.unlock t.cm;
+  let pending = Queue.create () in
+  Mutex.protect t.cm (fun () ->
+      t.woken <- false;
+      Queue.transfer t.completions pending);
   Queue.iter
-    (fun (conn_id, slot, resp, quit) ->
-      (match Hashtbl.find_opt t.conns conn_id with
-      | Some _ when not (Atomic.get slot.cancelled) ->
-        slot.out <- Some (slot.render resp)
-      | _ -> ());
+    (fun (slot, resp, quit) ->
+      if not (Atomic.get slot.cancelled) then fill t slot (slot.render resp);
       if quit then t.stopping <- true)
     pending
 
@@ -796,76 +913,76 @@ let stop t =
   t.stopping <- true;
   wake t
 
+let wants_input t c = (not (t.stopping || c.eof)) && has_room c
+
 let run t =
+  (* a peer that hangs up before reading its answer costs one failed
+     write (EPIPE), not the process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   start_updater t;
   let drainbuf = Bytes.create 256 in
   let rec loop () =
-    let conn_fds = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-    let read_fds =
-      t.wake_rd
-      :: (if t.stopping then [] else List.map fst t.listeners)
-      @ List.filter_map
-          (fun c -> if c.closing then None else Some c.fd)
-          conn_fds
-    in
-    let write_fds =
-      List.filter_map (fun c -> if c.wdata <> "" then Some c.fd else None)
-        conn_fds
-    in
     let now = Unix.gettimeofday () in
-    let next_deadline =
-      List.fold_left
-        (fun acc c ->
-          Queue.fold
-            (fun acc s -> if s.out = None then Float.min acc s.deadline else acc)
-            acc c.slots)
-        (now +. 0.5) conn_fds
+    let accepting = (not t.stopping) && now >= t.accept_resume in
+    let read_fds, write_fds =
+      Hashtbl.fold
+        (fun fd c (r, w) ->
+          ( (if wants_input t c then fd :: r else r),
+            if c.blocked then fd :: w else w ))
+        t.conns
+        ( t.wake_rd :: (if accepting then List.map fst t.listeners else []),
+          [] )
     in
-    let timeout = Float.max 0.005 (Float.min 0.5 (next_deadline -. now)) in
+    let wake_at =
+      match Due.min_elt_opt t.due with Some s -> s.deadline | None -> infinity
+    in
+    let wake_at =
+      if accepting || t.stopping then wake_at
+      else Float.min wake_at t.accept_resume
+    in
+    let timeout = Float.max 0.005 (Float.min 0.5 (wake_at -. now)) in
     let readable, writable, _ =
       try Unix.select read_fds write_fds [] timeout
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
-    (* self-pipe: completions are ready *)
-    if List.mem t.wake_rd readable then begin
-      (try
-         while Unix.read t.wake_rd drainbuf 0 (Bytes.length drainbuf) > 0 do
-           ()
-         done
-       with _ -> ());
-      ()
-    end;
+    List.iter
+      (fun fd ->
+        if fd = t.wake_rd then (
+          try
+            while Unix.read t.wake_rd drainbuf 0 (Bytes.length drainbuf) > 0 do
+              ()
+            done
+          with Unix.Unix_error _ -> ())
+        else
+          match List.assoc_opt fd t.listeners with
+          | Some kind -> if not t.stopping then accept_new t fd kind
+          | None -> Option.iter (read_conn t) (Hashtbl.find_opt t.conns fd))
+      readable;
+    List.iter
+      (fun fd ->
+        Option.iter (fun c -> c.blocked <- false) (Hashtbl.find_opt t.conns fd))
+      writable;
     drain_completions t;
-    (* new connections *)
-    if not t.stopping then
-      List.iter
-        (fun (lfd, kind) ->
-          if List.mem lfd readable then accept_new t (lfd, kind))
-        t.listeners;
-    (* input *)
-    Hashtbl.iter
-      (fun _ c -> if List.mem c.fd readable then read_conn t c)
-      t.conns;
-    (* deadlines *)
-    let now = Unix.gettimeofday () in
-    Hashtbl.iter (fun _ c -> expire_slots t c now) t.conns;
+    expire_due t (Unix.gettimeofday ());
     (* output: promote ordered responses, then write what the kernel
        will take *)
     let to_close = ref [] in
     Hashtbl.iter
       (fun _ c ->
-        let close_after = promote_slots c in
-        if close_after then c.closing <- true;
-        if c.wdata <> "" && (List.mem c.fd writable || not (List.mem c.fd write_fds))
-        then flush_conn c;
-        if c.closing && c.wdata = "" then to_close := c :: !to_close)
+        pump t c;
+        if Iobuf.length c.output > 0 && not c.blocked then flush_conn t c;
+        if
+          Iobuf.length c.output = 0 && Queue.is_empty c.slots
+          && (c.eof || c.closing)
+        then to_close := c :: !to_close)
       t.conns;
-    List.iter (fun c -> close_conn t c) !to_close;
+    List.iter (close_conn t) !to_close;
     if t.stopping then begin
       (* stop accepting, flush what remains, then leave *)
       let unflushed =
         Hashtbl.fold
-          (fun _ c acc -> acc || c.wdata <> "" || not (Queue.is_empty c.slots))
+          (fun _ c acc ->
+            acc || Iobuf.length c.output > 0 || not (Queue.is_empty c.slots))
           t.conns false
       in
       if unflushed then loop ()
@@ -883,6 +1000,7 @@ let run t =
   Hashtbl.reset t.conns;
   stop_updater t;
   Pool.stop t.gen.gpool;
+  Mutex.protect t.cm (fun () -> t.pipe_closed <- true);
   (try Unix.close t.wake_rd with _ -> ());
   (try Unix.close t.wake_wr with _ -> ());
   match t.config.unix_path with

@@ -26,7 +26,7 @@
    Relation names are snapshot names ("PointsTo.pt"); an unambiguous
    "pt" works too (Snapshot.find_relation).  This module is the pure
    evaluator over a loaded snapshot; sockets, queueing, and timeouts
-   live in Server. *)
+   live in Jedd_serve.Serve. *)
 
 module R = Jedd_relation.Relation
 module Schema = Jedd_relation.Schema
@@ -336,8 +336,8 @@ let rec eval w req : outcome =
         if !quit then Quit body else Reply body
       | _ -> Reply (err id "batch: missing \"requests\" array"))
     | "sleep" ->
-      (* occupies the single worker for real, like a long BDD op would;
-         exists so timeout behaviour is testable deterministically *)
+      (* occupies a worker for real, like a long BDD op would; exists
+         so timeout behaviour is testable deterministically *)
       let ms = min (int_field req "ms") 10_000 in
       Unix.sleepf (float_of_int ms /. 1000.);
       Reply (ok id [ ("slept_ms", Json.Int ms) ])

@@ -1,6 +1,6 @@
-(* The instrumented query evaluator shared by the single-worker daemon
-   (Server) and the multi-domain pool (Jedd_serve): Protocol.eval
-   wrapped with a bounded result cache and per-verb latency histograms.
+(* The instrumented query evaluator behind the worker pool
+   (Jedd_serve.Pool): Protocol.eval wrapped with an optional bounded
+   result cache and per-verb latency histograms.
 
    Cache keys are the canonical form of the request — object fields
    sorted recursively, the non-semantic "id" and "timeout_ms" fields
@@ -17,20 +17,14 @@ type t = {
   hist_lock : Mutex.t;
 }
 
-(* [?cache] shares an existing Rescache across evaluators — the
-   generation-swap path hands each new generation's Qeval the same
-   cache, then evicts the retired universe hash's entries from it.
+(* [?cache] is owned by the caller, who may share it across evaluators
+   — the generation-swap path hands each new generation's Qeval the
+   same cache, then evicts the retired universe hash's entries from it.
    Keys embed the universe hash, so sharing can never mix answers. *)
-let create ?cache ?(cache_capacity = 4096) ~universe_hash world =
+let create ?cache ~universe_hash world =
   {
     world;
-    cache =
-      (match cache with
-      | Some _ -> cache
-      | None ->
-        if cache_capacity > 0 then
-          Some (Rescache.create ~capacity:cache_capacity)
-        else None);
+    cache;
     universe_hash;
     hists = Hashtbl.create 16;
     hist_lock = Mutex.create ();

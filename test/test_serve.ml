@@ -329,6 +329,108 @@ let test_http_oversized_header_live () =
         | _ :: code :: _ -> code = "431"
         | _ -> false))
 
+(* -- overload ------------------------------------------------------------- *)
+
+(* Whether this process may hold [n] more descriptors at once. *)
+let can_hold_fds n =
+  let fds = ref [] in
+  Fun.protect
+    ~finally:(fun () -> List.iter Unix.close !fds)
+    (fun () ->
+      try
+        for _ = 1 to n do
+          fds := Unix.openfile Filename.null [ Unix.O_RDONLY ] 0 :: !fds
+        done;
+        true
+      with Unix.Unix_error ((EMFILE | ENFILE), _, _) -> false)
+
+(* A client whose connect, reads and writes give up after 10 s, so a
+   server that stopped accepting fails the test instead of hanging it. *)
+let connect_bounded sock =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10.;
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  Client.of_fd fd
+
+(* select() cannot watch descriptors at or above FD_SETSIZE (1024).
+   With 1,100 clients connected, the server ends past that limit are
+   refused with an error, and the loop keeps answering the rest. *)
+let test_many_clients () =
+  let n = 1100 in
+  (* both ends of every connection live in this process *)
+  if not (can_hold_fds ((2 * n) + 64)) then Alcotest.skip ();
+  with_serve ~workers:1 (fun ~sock ~tcp_port:_ ~http_port:_ ->
+      let clients = ref [] in
+      (Fun.protect ~finally:(fun () -> List.iter Client.close !clients)
+       @@ fun () ->
+       for _ = 1 to n do
+         clients := connect_bounded sock :: !clients
+       done;
+       let last = List.hd !clients and first = List.nth !clients (n - 1) in
+       let refusal = Json.of_string (input_line last.Client.ic) in
+       checkb "a client past the limit is refused" true
+         (Json.member "ok" refusal = Some (Json.Bool false));
+       Client.ping first);
+      let c = connect_bounded sock in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      Client.ping c)
+
+(* One client pipelines 20,000 pings in a single write while another
+   pings every 20 ms: the burst's replies all arrive, in order, and the
+   other client never waits a second. *)
+let test_pipelined_burst () =
+  with_serve ~workers:1 (fun ~sock ~tcp_port:_ ~http_port:_ ->
+      let n = 20_000 in
+      let burst = Client.connect ~retries:10 sock in
+      let probe = Client.connect ~retries:10 sock in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close burst;
+          Client.close probe)
+      @@ fun () ->
+      Client.set_timeout burst 60.;
+      Client.set_timeout probe 60.;
+      let payload = Buffer.create (n * 32) in
+      for i = 1 to n do
+        Buffer.add_string payload
+          (Printf.sprintf "{\"verb\":\"ping\",\"id\":%d}\n" i)
+      done;
+      let writer =
+        Thread.create
+          (fun () ->
+            output_string burst.Client.oc (Buffer.contents payload);
+            flush burst.Client.oc)
+          ()
+      in
+      let finished = Atomic.make false in
+      let worst = ref 0. in
+      let prober =
+        Thread.create
+          (fun () ->
+            while not (Atomic.get finished) do
+              let t0 = Unix.gettimeofday () in
+              (try Client.ping probe with _ -> worst := infinity);
+              worst := Float.max !worst (Unix.gettimeofday () -. t0);
+              Thread.delay 0.02
+            done)
+          ()
+      in
+      let in_order = ref true in
+      Fun.protect ~finally:(fun () -> Atomic.set finished true) (fun () ->
+          for i = 1 to n do
+            let reply = Json.of_string (input_line burst.Client.ic) in
+            if Json.member "id" reply <> Some (Json.Int i) then
+              in_order := false
+          done);
+      Thread.join writer;
+      Thread.join prober;
+      checkb "every burst reply arrives, in order" true !in_order;
+      checkb
+        (Printf.sprintf "the other client's worst ping (%.3f s) is under 1 s"
+           !worst)
+        true (!worst < 1.0))
+
 (* -- live updates and generation swaps ------------------------------------ *)
 
 (* A serving stack around a mutable Live session: frozen generation-0
@@ -495,6 +597,9 @@ let suite =
       test_http_pipelining_live;
     Alcotest.test_case "live http oversized header -> 431" `Quick
       test_http_oversized_header_live;
+    Alcotest.test_case "clients past FD_SETSIZE" `Quick test_many_clients;
+    Alcotest.test_case "pipelined burst, other client" `Quick
+      test_pipelined_burst;
     Alcotest.test_case "update verb swaps generations" `Quick
       test_live_update_swaps_generation;
     Alcotest.test_case "update without --live is refused" `Quick

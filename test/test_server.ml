@@ -1,13 +1,11 @@
-(* End-to-end tests for the jeddd query server: a real Unix-socket
-   server over a real analysis snapshot, exercised through the client
-   library — queries, batching, per-request timeouts, error replies,
-   and graceful shutdown. *)
+(* End-to-end tests for the jeddd query protocol: a real Unix-socket
+   server (Jedd_serve.Serve with one worker over an unfrozen universe,
+   the configuration `jedd-analyze --serve` runs) over a real analysis
+   snapshot, exercised through the client library — queries, batching,
+   per-request timeouts, error replies, and graceful shutdown. *)
 
 module Json = Jedd_server.Json
 module Client = Jedd_server.Client
-module Server = Jedd_server.Server
-module Suite = Jedd_analyses.Suite
-module Workload = Jedd_minijava.Workload
 
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
@@ -40,34 +38,14 @@ let test_json_roundtrip () =
       | _ -> Alcotest.failf "accepted malformed JSON %S" s)
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated" ]
 
-(* -- socket fixture ------------------------------------------------------ *)
-
-let with_server f =
-  let p = Workload.generate Workload.tiny in
-  let inst, _ = Suite.run_combined p in
-  let snap = Suite.snapshot inst in
-  let socket_path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "jeddd-test-%d.sock" (Unix.getpid ()))
-  in
-  let server = Server.create ~socket_path snap in
-  let th = Thread.create Server.serve server in
-  (* the listener is bound before create returns; connects just work *)
-  Fun.protect
-    ~finally:(fun () ->
-      Server.stop server;
-      Thread.join th;
-      if Sys.file_exists socket_path then Sys.remove socket_path)
-    (fun () -> f socket_path)
-
 let obj_get resp key =
   match Json.member key resp with
   | Some v -> v
   | None -> Alcotest.failf "response lacks %S: %s" key (Json.to_string resp)
 
 let test_queries () =
-  with_server (fun sock ->
+  Test_serve.with_serve ~workers:1 ~frozen:false
+    (fun ~sock ~tcp_port:_ ~http_port:_ ->
       let c = Client.connect sock in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       Client.ping c;
@@ -118,7 +96,8 @@ let test_queries () =
       Client.ping c)
 
 let test_batch_and_stats () =
-  with_server (fun sock ->
+  Test_serve.with_serve ~workers:1 ~frozen:false
+    (fun ~sock ~tcp_port:_ ~http_port:_ ->
       let c = Client.connect sock in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let resp =
@@ -163,7 +142,8 @@ let test_batch_and_stats () =
       | _ -> Alcotest.fail "stats.bdd not an object")
 
 let test_timeout () =
-  with_server (fun sock ->
+  Test_serve.with_serve ~workers:1 ~frozen:false
+    (fun ~sock ~tcp_port:_ ~http_port:_ ->
       let c = Client.connect sock in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let resp =
@@ -187,7 +167,8 @@ let test_timeout () =
       | _ -> Alcotest.fail "stats.timeouts not an int")
 
 let test_concurrent_clients () =
-  with_server (fun sock ->
+  Test_serve.with_serve ~workers:1 ~frozen:false
+    (fun ~sock ~tcp_port:_ ~http_port:_ ->
       let expected = ref 0 in
       (let c = Client.connect sock in
        expected := Client.count c "pt";
@@ -210,7 +191,8 @@ let test_concurrent_clients () =
         results)
 
 let test_shutdown () =
-  with_server (fun sock ->
+  Test_serve.with_serve ~workers:1 ~frozen:false
+    (fun ~sock ~tcp_port:_ ~http_port:_ ->
       let c = Client.connect sock in
       Client.shutdown c;
       Client.close c;
