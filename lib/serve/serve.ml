@@ -228,6 +228,10 @@ let read_chunk = 65536
    no connection closes first (descriptors may free up elsewhere). *)
 let accept_backoff_s = 0.25
 
+(* How long a stopping loop keeps flushing answers to peers; one that
+   never reads must not hold [run], and whoever joins it, forever. *)
+let stop_grace_s = 5.
+
 (* -- listeners ----------------------------------------------------------- *)
 
 let listen_unix path =
@@ -915,12 +919,28 @@ let stop t =
 
 let wants_input t c = (not (t.stopping || c.eof)) && has_room c
 
+(* Close every descriptor the loop owns, so each peer sees EOF rather
+   than waiting on a loop that has left, then retire the workers. *)
+let teardown t =
+  List.iter (fun (fd, _) -> try Unix.close fd with _ -> ()) t.listeners;
+  Hashtbl.iter (fun _ c -> try Unix.close c.fd with _ -> ()) t.conns;
+  Hashtbl.reset t.conns;
+  (match t.config.unix_path with
+  | Some p -> ( try Unix.unlink p with _ -> ())
+  | None -> ());
+  stop_updater t;
+  Pool.stop t.gen.gpool;
+  Mutex.protect t.cm (fun () -> t.pipe_closed <- true);
+  (try Unix.close t.wake_rd with _ -> ());
+  try Unix.close t.wake_wr with _ -> ()
+
 let run t =
   (* a peer that hangs up before reading its answer costs one failed
      write (EPIPE), not the process *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   start_updater t;
   let drainbuf = Bytes.create 256 in
+  let drain_until = ref infinity in
   let rec loop () =
     let now = Unix.gettimeofday () in
     let accepting = (not t.stopping) && now >= t.accept_resume in
@@ -979,30 +999,22 @@ let run t =
     List.iter (close_conn t) !to_close;
     if t.stopping then begin
       (* stop accepting, flush what remains, then leave *)
+      let now = Unix.gettimeofday () in
+      if !drain_until = infinity then drain_until := now +. stop_grace_s;
       let unflushed =
         Hashtbl.fold
           (fun _ c acc ->
             acc || Iobuf.length c.output > 0 || not (Queue.is_empty c.slots))
           t.conns false
       in
-      if unflushed then loop ()
+      if unflushed && now < !drain_until then loop ()
     end
     else loop ()
   in
   (try loop ()
    with e ->
+     let bt = Printexc.get_raw_backtrace () in
      t.stopping <- true;
-     stop_updater t;
-     Pool.stop t.gen.gpool;
-     raise e);
-  List.iter (fun (fd, _) -> try Unix.close fd with _ -> ()) t.listeners;
-  Hashtbl.iter (fun _ c -> try Unix.close c.fd with _ -> ()) t.conns;
-  Hashtbl.reset t.conns;
-  stop_updater t;
-  Pool.stop t.gen.gpool;
-  Mutex.protect t.cm (fun () -> t.pipe_closed <- true);
-  (try Unix.close t.wake_rd with _ -> ());
-  (try Unix.close t.wake_wr with _ -> ());
-  match t.config.unix_path with
-  | Some p -> ( try Unix.unlink p with _ -> ())
-  | None -> ()
+     teardown t;
+     Printexc.raise_with_backtrace e bt);
+  teardown t

@@ -5,7 +5,8 @@
 # the full analyze/serve/query/persist loop without the test harness.
 # Then `jedd-analyze --serve` must give the cold answers too, and jeddd
 # out of descriptors (ulimit -n 64, 100 clients queued) must idle
-# rather than spin, and serve the queue once clients leave.
+# rather than spin, and serve the queue once clients leave; with 1,100
+# clients it must refuse those past FD_SETSIZE and keep answering.
 set -eu
 
 SOCK="$(mktemp -u /tmp/jeddd-smoke-XXXXXX.sock)"
@@ -104,5 +105,37 @@ last.close()
 PY
 $JEDDQ -s "$SOCK" shutdown
 wait $JEDDD_PID
+
+echo "== past FD_SETSIZE (1,100 clients) =="
+if (ulimit -n 4096) 2>/dev/null; then
+    (ulimit -n 4096 && exec _build/default/bin/jeddd_main.exe -s "$SOCK" -b tiny) \
+        >/dev/null &
+    JEDDD_PID=$!
+    wait_for_socket
+    (ulimit -n 4096 && exec python3 - "$SOCK") <<'PY'
+import socket, struct, sys
+path = sys.argv[1]
+ten_s = struct.pack("ll", 10, 0)  # blocking calls give up after 10 s
+clients = []
+for _ in range(1100):  # jeddd's ends of the last ones are past 1024
+    c = socket.socket(socket.AF_UNIX)
+    c.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, ten_s)
+    c.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, ten_s)
+    c.connect(path)  # blocking: waits while jeddd's backlog is full
+    clients.append(c)
+if b'"ok":false' not in clients[-1].makefile("rb").readline():
+    sys.exit("serve_smoke: a client past FD_SETSIZE was not refused")
+clients[0].sendall(b'{"verb":"ping"}\n')
+if b'"ok":true' not in clients[0].makefile("rb").readline():
+    sys.exit("serve_smoke: jeddd stopped answering past FD_SETSIZE")
+for c in clients:
+    c.close()
+PY
+    $JEDDQ -s "$SOCK" ping
+    $JEDDQ -s "$SOCK" shutdown
+    wait $JEDDD_PID
+else
+    echo "skipped: the descriptor limit cannot be raised to 4096"
+fi
 
 echo "serve_smoke: OK ($COLD_COUNT)"

@@ -103,7 +103,14 @@ let test_http_rejects () =
 
 (* -- live-server fixture -------------------------------------------------- *)
 
-let fixture_counter = ref 0
+(* A socket path no other process holds: [temp_file] creates a fresh
+   name (a pid alone repeats across PID namespaces that share one
+   temporary directory), and the placeholder goes so the server can
+   bind it. *)
+let fresh_sock_path prefix =
+  let path = Filename.temp_file prefix ".sock" in
+  Sys.remove path;
+  path
 
 (* Serialize the tiny-workload snapshot and reload it — the reload is
    what jeddd does, and ~freeze lands the universe read-only. *)
@@ -113,14 +120,7 @@ let with_serve ?(workers = 2) ?(frozen = true) f =
   let bytes = Snapshot.to_bytes (Suite.snapshot inst) in
   let snap = Snapshot.of_bytes ~freeze:frozen bytes in
   let hash = Digest.to_hex (Digest.string bytes) in
-  incr fixture_counter;
-  let sock =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "jedd-serve-test-%d-%d.sock" (Unix.getpid ())
-         !fixture_counter)
-  in
-  if Sys.file_exists sock then Sys.remove sock;
+  let sock = fresh_sock_path "jedd-serve-test" in
   let config =
     {
       Serve.default_config with
@@ -140,6 +140,16 @@ let with_serve ?(workers = 2) ?(frozen = true) f =
       Thread.join th;
       if Sys.file_exists sock then Sys.remove sock)
     (fun () -> f ~sock ~tcp_port ~http_port)
+
+(* Test clients give up on any read or write after 30 s, so a server
+   that stopped answering fails its test instead of hanging the suite. *)
+let bounded c =
+  Client.set_timeout c 30.;
+  c
+
+let connect sock = bounded (Client.connect ~retries:10 sock)
+let connect_tcp port =
+  bounded (Client.connect_tcp ~retries:10 "127.0.0.1" port)
 
 let q verb fields = Json.Obj (("verb", Json.String verb) :: fields)
 
@@ -165,10 +175,10 @@ let probe_all ~sock ~tcp_port ~http_port =
       probe_queries
   in
   [
-    over (fun () -> Client.connect ~retries:10 sock) false;
-    over (fun () -> Client.connect_tcp ~retries:10 "127.0.0.1" tcp_port) false;
+    over (fun () -> connect sock) false;
+    over (fun () -> connect_tcp tcp_port) false;
     over
-      (fun () -> Client.connect_tcp ~retries:10 "127.0.0.1" http_port)
+      (fun () -> connect_tcp http_port)
       true;
   ]
 
@@ -199,7 +209,7 @@ let test_differential () =
 
 let test_frozen_rejects_mutation () =
   with_serve ~workers:2 (fun ~sock ~tcp_port:_ ~http_port:_ ->
-      let c = Client.connect ~retries:10 sock in
+      let c = connect sock in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let resp = Client.request c (q "reorder" []) in
       (match Json.member "ok" resp with
@@ -218,7 +228,7 @@ let test_frozen_rejects_mutation () =
       | _ -> Alcotest.fail "no error message");
   (* and an unfrozen server accepts the same verb *)
   with_serve ~workers:1 ~frozen:false (fun ~sock ~tcp_port:_ ~http_port:_ ->
-      let c = Client.connect ~retries:10 sock in
+      let c = connect sock in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let resp = Client.request c (q "reorder" []) in
       match Json.member "ok" resp with
@@ -229,7 +239,7 @@ let test_frozen_rejects_mutation () =
 
 let test_cache_and_stats () =
   with_serve ~workers:2 (fun ~sock ~tcp_port:_ ~http_port:_ ->
-      let c = Client.connect ~retries:10 sock in
+      let c = connect sock in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let query = q "count" [ ("rel", Json.String "PointsTo.pt") ] in
       let r1 = Client.request c query in
@@ -263,7 +273,7 @@ let test_cache_and_stats () =
    must answer both, in order, on the one connection. *)
 let test_http_pipelining_live () =
   with_serve ~workers:2 (fun ~sock:_ ~tcp_port:_ ~http_port ->
-      let c = Client.connect_tcp ~retries:10 "127.0.0.1" http_port in
+      let c = connect_tcp http_port in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let body1 = Json.to_string (q "ping" []) in
       let body2 =
@@ -318,7 +328,7 @@ let test_http_pipelining_live () =
 
 let test_http_oversized_header_live () =
   with_serve ~workers:1 (fun ~sock:_ ~tcp_port:_ ~http_port ->
-      let c = Client.connect_tcp ~retries:10 "127.0.0.1" http_port in
+      let c = connect_tcp http_port in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       output_string c.Client.oc
         ("GET / HTTP/1.1\r\nX-Pad: " ^ String.make 10000 'a');
@@ -354,25 +364,29 @@ let connect_bounded sock =
   Client.of_fd fd
 
 (* select() cannot watch descriptors at or above FD_SETSIZE (1024).
-   With 1,100 clients connected, the server ends past that limit are
-   refused with an error, and the loop keeps answering the rest. *)
+   With every lower descriptor held, a new client's server end lands
+   past that limit: it is refused with an error, and the loop keeps
+   answering the client it already had and the next one to connect
+   once descriptors are free again. *)
 let test_many_clients () =
-  let n = 1100 in
-  (* both ends of every connection live in this process *)
-  if not (can_hold_fds ((2 * n) + 64)) then Alcotest.skip ();
+  let held = 1100 in
+  if not (can_hold_fds (held + 64)) then Alcotest.skip ();
   with_serve ~workers:1 (fun ~sock ~tcp_port:_ ~http_port:_ ->
-      let clients = ref [] in
-      (Fun.protect ~finally:(fun () -> List.iter Client.close !clients)
-       @@ fun () ->
-       for _ = 1 to n do
-         clients := connect_bounded sock :: !clients
-       done;
-       let last = List.hd !clients and first = List.nth !clients (n - 1) in
-       let refusal = Json.of_string (input_line last.Client.ic) in
+      let first = connect sock in
+      Fun.protect ~finally:(fun () -> Client.close first) @@ fun () ->
+      Client.ping first;
+      let fds =
+        List.init held (fun _ ->
+            Unix.openfile Filename.null [ Unix.O_RDONLY ] 0)
+      in
+      (Fun.protect ~finally:(fun () -> List.iter Unix.close fds) @@ fun () ->
+       let late = connect_bounded sock in
+       Fun.protect ~finally:(fun () -> Client.close late) @@ fun () ->
+       let refusal = Json.of_string (input_line late.Client.ic) in
        checkb "a client past the limit is refused" true
          (Json.member "ok" refusal = Some (Json.Bool false));
        Client.ping first);
-      let c = connect_bounded sock in
+      let c = connect sock in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       Client.ping c)
 
@@ -382,8 +396,8 @@ let test_many_clients () =
 let test_pipelined_burst () =
   with_serve ~workers:1 (fun ~sock ~tcp_port:_ ~http_port:_ ->
       let n = 20_000 in
-      let burst = Client.connect ~retries:10 sock in
-      let probe = Client.connect ~retries:10 sock in
+      let burst = connect sock in
+      let probe = connect sock in
       Fun.protect
         ~finally:(fun () ->
           Client.close burst;
@@ -399,8 +413,10 @@ let test_pipelined_burst () =
       let writer =
         Thread.create
           (fun () ->
-            output_string burst.Client.oc (Buffer.contents payload);
-            flush burst.Client.oc)
+            try
+              output_string burst.Client.oc (Buffer.contents payload);
+              flush burst.Client.oc
+            with Sys_error _ -> ())
           ()
       in
       let finished = Atomic.make false in
@@ -417,14 +433,23 @@ let test_pipelined_burst () =
           ()
       in
       let in_order = ref true in
-      Fun.protect ~finally:(fun () -> Atomic.set finished true) (fun () ->
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set finished true;
+          (* if the replies stopped, the writer may still be blocked on
+             the socket: shutting it down fails that write, so no thread
+             outlives the test (a thread stuck in a channel write would
+             also stall the exit-time flush of every channel) *)
+          (try Unix.shutdown burst.Client.fd Unix.SHUTDOWN_ALL
+           with Unix.Unix_error _ -> ());
+          Thread.join writer;
+          Thread.join prober)
+        (fun () ->
           for i = 1 to n do
             let reply = Json.of_string (input_line burst.Client.ic) in
             if Json.member "id" reply <> Some (Json.Int i) then
               in_order := false
           done);
-      Thread.join writer;
-      Thread.join prober;
       checkb "every burst reply arrives, in order" true !in_order;
       checkb
         (Printf.sprintf "the other client's worst ping (%.3f s) is under 1 s"
@@ -446,14 +471,7 @@ let with_live_serve ?(workers = 2) f =
   Sys.remove root;
   let cas = Cas.open_ root in
   Cas.tag cas "live" (Cas.put cas bytes);
-  incr fixture_counter;
-  let sock =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "jedd-serve-live-%d-%d.sock" (Unix.getpid ())
-         !fixture_counter)
-  in
-  if Sys.file_exists sock then Sys.remove sock;
+  let sock = fresh_sock_path "jedd-serve-live" in
   let config = { Serve.default_config with unix_path = Some sock; workers } in
   let live_cfg =
     { Serve.session; initial_bytes = bytes; publish = Some (cas, "live") }
@@ -474,7 +492,7 @@ let int_member what key obj =
 
 let test_live_update_swaps_generation () =
   with_live_serve (fun ~sock ~cas ~session ->
-      let c = Client.connect ~retries:10 sock in
+      let c = connect sock in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let count () =
         int_member "count" "tuples"
@@ -560,7 +578,7 @@ let test_live_update_swaps_generation () =
 
 let test_update_without_live_session () =
   with_serve ~workers:1 (fun ~sock ~tcp_port:_ ~http_port:_ ->
-      let c = Client.connect ~retries:10 sock in
+      let c = connect sock in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let resp =
         Client.request c

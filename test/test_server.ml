@@ -38,6 +38,9 @@ let test_json_roundtrip () =
       | _ -> Alcotest.failf "accepted malformed JSON %S" s)
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated" ]
 
+(* No retries: the shutdown test expects a refused connect at once. *)
+let connect sock = Test_serve.bounded (Client.connect sock)
+
 let obj_get resp key =
   match Json.member key resp with
   | Some v -> v
@@ -46,7 +49,7 @@ let obj_get resp key =
 let test_queries () =
   Test_serve.with_serve ~workers:1 ~frozen:false
     (fun ~sock ~tcp_port:_ ~http_port:_ ->
-      let c = Client.connect sock in
+      let c = connect sock in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       Client.ping c;
       (* suffix lookup: "pt" resolves to "PointsTo.pt" *)
@@ -98,7 +101,7 @@ let test_queries () =
 let test_batch_and_stats () =
   Test_serve.with_serve ~workers:1 ~frozen:false
     (fun ~sock ~tcp_port:_ ~http_port:_ ->
-      let c = Client.connect sock in
+      let c = connect sock in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let resp =
         Client.request_ok c
@@ -144,7 +147,7 @@ let test_batch_and_stats () =
 let test_timeout () =
   Test_serve.with_serve ~workers:1 ~frozen:false
     (fun ~sock ~tcp_port:_ ~http_port:_ ->
-      let c = Client.connect sock in
+      let c = connect sock in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let resp =
         Client.request c
@@ -170,7 +173,7 @@ let test_concurrent_clients () =
   Test_serve.with_serve ~workers:1 ~frozen:false
     (fun ~sock ~tcp_port:_ ~http_port:_ ->
       let expected = ref 0 in
-      (let c = Client.connect sock in
+      (let c = connect sock in
        expected := Client.count c "pt";
        Client.close c);
       let results = Array.make 8 (-1) in
@@ -178,7 +181,7 @@ let test_concurrent_clients () =
         Array.init 8 (fun i ->
             Thread.create
               (fun () ->
-                let c = Client.connect sock in
+                let c = connect sock in
                 Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
                 for _ = 1 to 5 do
                   results.(i) <- Client.count c "pt"
@@ -193,14 +196,14 @@ let test_concurrent_clients () =
 let test_shutdown () =
   Test_serve.with_serve ~workers:1 ~frozen:false
     (fun ~sock ~tcp_port:_ ~http_port:_ ->
-      let c = Client.connect sock in
+      let c = connect sock in
       Client.shutdown c;
       Client.close c;
       (* the socket stops accepting (either refused or unlinked) *)
       let rec gone tries =
         if tries = 0 then false
         else
-          match Client.connect sock with
+          match connect sock with
           | exception _ -> true
           | c2 -> (
             (* accepted before teardown finished: the connection must
