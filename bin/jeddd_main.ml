@@ -301,7 +301,7 @@ let no_freeze_arg =
 let sweep_threshold_arg =
   Arg.(
     value
-    & opt int (1 lsl 20)
+    & opt int Jedd_serve.Serve.default_config.sweep_threshold
     & info [ "sweep-threshold" ] ~docv:"NODES"
         ~doc:
           "Frozen mode: reclaim query scratch once this many nodes \

@@ -100,7 +100,7 @@ let rec worker_loop t =
       worker_loop t
     end
 
-let create ?(workers = 1) ?(sweep_threshold = 1 lsl 20) qeval =
+let create ?(workers = 1) ~sweep_threshold qeval =
   if workers < 1 then invalid_arg "Pool.create: workers must be >= 1";
   let u = (Qeval.world qeval).Protocol.snap.Snapshot.u in
   let manager = U.manager u in

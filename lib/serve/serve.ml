@@ -72,7 +72,14 @@ let default_config =
     workers = 1;
     default_timeout_ms = 30_000;
     cache_capacity = 4096;
-    sweep_threshold = 1 lsl 20;
+    (* Query scratch is swept once this many nodes pile up.  At 1 lsl 20
+       a busy read-only daemon (perfbench serve, javac snapshot) doubled
+       its node table four times in 30 s, its heap grew from 13 to 73 MB
+       and its throughput fell by a third as the table outgrew the
+       caches.  At 1 lsl 16 the table and heap stay flat; the sweeps,
+       about one a second there at 3.5 ms each, stand in for 40-140 ms
+       table doublings. *)
+    sweep_threshold = 1 lsl 16;
   }
 
 type slot = {
